@@ -19,7 +19,7 @@ cmake -B "${BUILD_DIR}" -S "${SOURCE_DIR}" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${BUILD_DIR}" -j \
     --target mrf_test runtime_test robustness_test fast_sweep_test simd_sweep_test \
-    workload_test
+    workload_test rsu_golden_test
 
 # Only the labelled (mrf + runtime) tests: the sampler kernels, the
 # lookup tables, and the chromatic executor that drives them.

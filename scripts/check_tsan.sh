@@ -17,7 +17,7 @@ cmake -B "${BUILD_DIR}" -S "${SOURCE_DIR}" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "${BUILD_DIR}" -j \
     --target runtime_test robustness_test mrf_test fast_sweep_test simd_sweep_test \
-    workload_test
+    workload_test rsu_golden_test
 
 # Only the labelled (runtime + mrf) tests: the suites that exercise
 # the thread pool, the chromatic executor, and the sampler kernels
