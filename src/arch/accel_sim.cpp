@@ -7,7 +7,7 @@ namespace rsu::arch {
 
 AcceleratorSim::AcceleratorSim(rsu::mrf::GridMrf &mrf,
                                const AcceleratorSimConfig &config)
-    : mrf_(mrf), config_(config), data2_(mrf.numLabels())
+    : mrf_(mrf), config_(config), kernel_(mrf)
 {
     if (config_.num_units < 1)
         throw std::invalid_argument("AcceleratorSim: need units");
@@ -56,10 +56,7 @@ AcceleratorSim::sweep()
                     continue;
                 auto &unit = *units_[counter % n_units];
                 ++counter;
-                const auto in = mrf_.referencedInputsAt(x, y);
-                mrf_.data2At(x, y, data2_.data());
-                mrf_.setLabel(x, y,
-                              unit.sample(in, data2_.data()));
+                kernel_.update(mrf_, unit, work_, x, y);
             }
         }
     }

@@ -22,6 +22,7 @@
 
 #include "core/rsu_g.h"
 #include "mrf/grid_mrf.h"
+#include "mrf/rsu_gibbs.h"
 
 namespace rsu::arch {
 
@@ -91,7 +92,8 @@ class AcceleratorSim
     rsu::mrf::GridMrf &mrf_;
     AcceleratorSimConfig config_;
     std::vector<std::unique_ptr<rsu::core::RsuG>> units_;
-    std::vector<uint8_t> data2_;
+    rsu::mrf::RsuSiteKernel kernel_;
+    rsu::mrf::SamplerWork work_;
     int bytes_per_site_;
     double last_utilization_ = 0.0;
 };

@@ -37,14 +37,6 @@ EnergyUnit::doubleton(Label a, Label b) const
     return config_.doubleton_weight * dist;
 }
 
-int
-EnergyUnit::singleton(uint8_t data1, uint8_t data2) const
-{
-    const int d = static_cast<int>(data1 & kLabelMask) -
-                  static_cast<int>(data2 & kLabelMask);
-    return (d * d) >> config_.singleton_shift;
-}
-
 Energy
 EnergyUnit::evaluate(Label candidate, const EnergyInputs &in) const
 {

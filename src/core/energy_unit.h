@@ -106,8 +106,15 @@ class EnergyUnit
     /**
      * Singleton distance between the two 6-bit data inputs
      * (unsaturated integer result, after the configured shift).
+     * Inline: the RSU sweep kernel evaluates it per candidate.
      */
-    int singleton(uint8_t data1, uint8_t data2) const;
+    int
+    singleton(uint8_t data1, uint8_t data2) const
+    {
+        const int d = static_cast<int>(data1 & kLabelMask) -
+                      static_cast<int>(data2 & kLabelMask);
+        return (d * d) >> config_.singleton_shift;
+    }
 
     /**
      * Total 8-bit energy of evaluating @p candidate with the given

@@ -33,16 +33,6 @@ IntensityMap::build(const rsu::ret::QdLedBank &bank, double temperature)
     }
 }
 
-uint8_t
-IntensityMap::lookup(int e) const
-{
-    if (e < 0)
-        e = 0;
-    if (e >= entries())
-        e = entries() - 1;
-    return table_[e];
-}
-
 void
 IntensityMap::setEntry(int e, uint8_t code)
 {

@@ -46,7 +46,15 @@ class IntensityMap
     void build(const rsu::ret::QdLedBank &bank, double temperature);
 
     /** LED code for energy @p e (energies past the end clamp). */
-    uint8_t lookup(int e) const;
+    uint8_t
+    lookup(int e) const
+    {
+        if (e < 0)
+            e = 0;
+        if (e >= entries())
+            e = entries() - 1;
+        return table_[e];
+    }
 
     /** Raw entry write (ISA map-table initialization path). */
     void setEntry(int e, uint8_t code);

@@ -161,6 +161,19 @@ class RsuG
                  const uint8_t *data2_per_label = nullptr);
 
     /**
+     * Draw a new label from already-referenced candidate energies:
+     * the pipeline from the intensity lookup on (race, re-race,
+     * fault and statistics handling), exactly as sample() runs it
+     * after its energy stage. @p energies holds numLabels() entries
+     * in candidate-index order, each the candidate's saturated
+     * energy minus the re-reference (the caller's energy_offset
+     * floored at zero, or in two-pass mode the candidates' minimum).
+     * The sweep kernels compute those from staged tables and call
+     * this directly; it allocates nothing.
+     */
+    Label sampleEnergies(const Energy *energies);
+
+    /**
      * Energy the datapath assigns to @p candidate under @p in with
      * second data input @p data2 — exposed so software references
      * can share the exact hardware energies.
@@ -233,16 +246,16 @@ class RsuG
   private:
     /**
      * Candidate energies in candidate-index order, after the
-     * caller's offset and (in two-pass mode) min re-referencing.
+     * caller's offset and (in two-pass mode) min re-referencing,
+     * into @p out (numLabels() entries).
      */
-    std::vector<Energy>
-    referencedEnergies(const EnergyInputs &in,
-                       const uint8_t *data2_per_label) const;
+    void referencedEnergies(const EnergyInputs &in,
+                            const uint8_t *data2_per_label,
+                            Energy *out) const;
 
     /** One full down-counter race over @p energies into
-     * @p selection (the pipeline loop of sample()). */
-    void raceOnce(SelectionUnit &selection,
-                  const std::vector<Energy> &energies);
+     * @p selection (the pipeline loop of sampleEnergies()). */
+    void raceOnce(SelectionUnit &selection, const Energy *energies);
 
     RsuGConfig config_;
     rsu::rng::Xoshiro256 rng_;

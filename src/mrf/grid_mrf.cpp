@@ -101,7 +101,26 @@ GridMrf::buildData2Table() const
 void
 GridMrf::initializeMaximumLikelihood()
 {
-    initializeMaximumLikelihood(buildSingletonTable());
+    // Streaming per-site argmin — no table: ties resolve to the
+    // lowest candidate index, as SingletonTable::argminRow's
+    // strict-less scan does, so both overloads agree.
+    for (int y = 0; y < height(); ++y) {
+        for (int x = 0; x < width(); ++x) {
+            const uint8_t data1 = singleton_.data1(x, y);
+            int best = 0;
+            int best_e = energy_unit_.singleton(
+                data1, singleton_.data2(x, y, codes_[0]));
+            for (int i = 1; i < numLabels(); ++i) {
+                const int e = energy_unit_.singleton(
+                    data1, singleton_.data2(x, y, codes_[i]));
+                if (e < best_e) {
+                    best_e = e;
+                    best = i;
+                }
+            }
+            labels_[index(x, y)] = codes_[best];
+        }
+    }
 }
 
 void

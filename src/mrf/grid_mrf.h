@@ -159,7 +159,8 @@ class GridMrf
      * smoothness prior). The standard MRF-MCMC starting point — and
      * a prerequisite for the RSU path's single-pass current-label
      * energy re-referencing to be well-conditioned from the first
-     * sweep (see EnergyInputs::energy_offset).
+     * sweep (see EnergyInputs::energy_offset). Streams over the
+     * model; no singleton table is built.
      */
     void initializeMaximumLikelihood();
 

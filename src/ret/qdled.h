@@ -24,6 +24,7 @@
 #define RSU_RET_QDLED_H
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -52,7 +53,12 @@ class QdLedBank
      * Total optical intensity for a 4-bit on/off code.
      * Code 0 (all off) yields exactly 0.
      */
-    double intensity(uint8_t code) const;
+    double
+    intensity(uint8_t code) const
+    {
+        assert(code < kNumLedCodes);
+        return code_intensity_[code];
+    }
 
     /** Largest achievable intensity (all LEDs on). */
     double maxIntensity() const;

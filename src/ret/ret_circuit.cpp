@@ -1,6 +1,5 @@
 #include "ret/ret_circuit.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace rsu::ret {
@@ -30,39 +29,6 @@ RetCircuit::RetCircuit(const RetCircuitConfig &config)
 {
     if (quiescence_cycles_ < 0)
         throw std::invalid_argument("RetCircuit: negative quiescence");
-}
-
-uint8_t
-RetCircuit::sample(rsu::rng::Xoshiro256 &rng, uint8_t code)
-{
-    return timer_.quantize(sampleContinuousNs(rng, code));
-}
-
-double
-RetCircuit::sampleContinuousNs(rsu::rng::Xoshiro256 &rng, uint8_t code)
-{
-    const double intensity = leds_.intensity(code);
-    // Ages the ensemble even when nothing fires (LEDs still pump).
-    const double photon_ttf = network_.sampleTtf(rng, intensity);
-    // SPAD thinning of the underlying Poisson process is equivalent
-    // to scaling its rate (memorylessness); redraw at the effective
-    // rate instead of rejection-looping over individual photons.
-    const double photon_rate =
-        intensity > 0.0 ? network_.effectiveRate() * intensity : 0.0;
-    if (spad_.model().efficiency >= 1.0 &&
-        spad_.model().dark_rate_per_ns <= 0.0) {
-        return photon_ttf;
-    }
-    return spad_.detect(rng, photon_rate);
-}
-
-uint8_t
-RetCircuit::sampleAt(rsu::rng::Xoshiro256 &rng, uint8_t code,
-                     uint64_t cycle)
-{
-    assert(readyAt(cycle) && "RET circuit fired during quiescence");
-    busy_until_ = cycle + static_cast<uint64_t>(quiescence_cycles_);
-    return sample(rng, code);
 }
 
 void

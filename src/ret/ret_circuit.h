@@ -19,6 +19,7 @@
 #ifndef RSU_RET_RET_CIRCUIT_H
 #define RSU_RET_RET_CIRCUIT_H
 
+#include <cassert>
 #include <cstdint>
 
 #include "ret/qdled.h"
@@ -67,14 +68,35 @@ class RetCircuit
      * quantized TTF. Does not touch scheduling state; use
      * sampleAt() when modelling pipeline occupancy.
      */
-    uint8_t sample(rsu::rng::Xoshiro256 &rng, uint8_t code);
+    uint8_t
+    sample(rsu::rng::Xoshiro256 &rng, uint8_t code)
+    {
+        return timer_.quantize(sampleContinuousNs(rng, code));
+    }
 
     /**
      * Continuous (unquantized) detection time in ns; infinity when
      * the channel cannot fire. Exposed for the prototype emulation,
      * which times with its own 250 ps FPGA timer.
      */
-    double sampleContinuousNs(rsu::rng::Xoshiro256 &rng, uint8_t code);
+    double
+    sampleContinuousNs(rsu::rng::Xoshiro256 &rng, uint8_t code)
+    {
+        const double intensity = leds_.intensity(code);
+        // Ages the ensemble even when nothing fires (LEDs still pump).
+        const double photon_ttf = network_.sampleTtf(rng, intensity);
+        if (spad_.model().efficiency >= 1.0 &&
+            spad_.model().dark_rate_per_ns <= 0.0)
+            return photon_ttf;
+        // SPAD thinning of the underlying Poisson process is
+        // equivalent to scaling its rate (memorylessness); redraw at
+        // the effective rate instead of rejection-looping over
+        // individual photons.
+        const double photon_rate =
+            intensity > 0.0 ? network_.effectiveRate() * intensity
+                            : 0.0;
+        return spad_.detect(rng, photon_rate);
+    }
 
     /** True when the circuit may fire at @p cycle. */
     bool readyAt(uint64_t cycle) const { return cycle >= busy_until_; }
@@ -83,8 +105,14 @@ class RetCircuit
      * Fire at @p cycle (must be ready) and reserve the quiescence
      * window.
      */
-    uint8_t sampleAt(rsu::rng::Xoshiro256 &rng, uint8_t code,
-                     uint64_t cycle);
+    uint8_t
+    sampleAt(rsu::rng::Xoshiro256 &rng, uint8_t code, uint64_t cycle)
+    {
+        assert(readyAt(cycle) && "RET circuit fired during quiescence");
+        busy_until_ =
+            cycle + static_cast<uint64_t>(quiescence_cycles_);
+        return sample(rng, code);
+    }
 
     /** First cycle at which the circuit is ready again. */
     uint64_t busyUntil() const { return busy_until_; }

@@ -18,27 +18,6 @@ ExponentialNetwork::ExponentialNetwork(double base_rate_per_ns,
                                     "must be positive");
 }
 
-double
-ExponentialNetwork::sampleTtf(rsu::rng::Xoshiro256 &rng,
-                              double intensity)
-{
-    ++cycles_;
-    const double bleach = wear_.effectiveBleach();
-    if (bleach > 0.0)
-        surviving_ *= (1.0 - bleach);
-
-    if (intensity <= 0.0)
-        return std::numeric_limits<double>::infinity();
-    const double rate = effectiveRate() * intensity;
-    return rsu::rng::sampleExponential(rng, rate);
-}
-
-double
-ExponentialNetwork::effectiveRate() const
-{
-    return base_rate_ * surviving_;
-}
-
 void
 ExponentialNetwork::refresh()
 {

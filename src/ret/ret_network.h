@@ -29,8 +29,10 @@
 #define RSU_RET_RET_NETWORK_H
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "rng/distributions.h"
 #include "rng/xoshiro256.h"
 
 namespace rsu::ret {
@@ -66,10 +68,22 @@ class ExponentialNetwork
      * @p intensity. Zero intensity never fires (returns infinity).
      * Each call ages the ensemble according to the wear model.
      */
-    double sampleTtf(rsu::rng::Xoshiro256 &rng, double intensity);
+    double
+    sampleTtf(rsu::rng::Xoshiro256 &rng, double intensity)
+    {
+        ++cycles_;
+        const double bleach = wear_.effectiveBleach();
+        if (bleach > 0.0)
+            surviving_ *= (1.0 - bleach);
+
+        if (intensity <= 0.0)
+            return std::numeric_limits<double>::infinity();
+        const double rate = effectiveRate() * intensity;
+        return rsu::rng::sampleExponential(rng, rate);
+    }
 
     /** Current effective rate per unit intensity. */
-    double effectiveRate() const;
+    double effectiveRate() const { return base_rate_ * surviving_; }
 
     /** Fraction of the ensemble still optically active, in (0, 1]. */
     double survivingFraction() const { return surviving_; }

@@ -13,17 +13,6 @@ TtfTimer::TtfTimer(double clock_period_ns)
     tick_ns_ = clock_period_ns / kTtfOversample;
 }
 
-uint8_t
-TtfTimer::quantize(double arrival_ns) const
-{
-    if (arrival_ns < 0.0 || !std::isfinite(arrival_ns))
-        return kTtfSaturated;
-    const double ticks = arrival_ns / tick_ns_;
-    if (ticks >= static_cast<double>(kTtfSaturated))
-        return kTtfSaturated;
-    return static_cast<uint8_t>(ticks);
-}
-
 double
 TtfTimer::tickProbability(double rate_per_ns, uint8_t q) const
 {

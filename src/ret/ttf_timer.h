@@ -20,6 +20,7 @@
 #ifndef RSU_RET_TTF_TIMER_H
 #define RSU_RET_TTF_TIMER_H
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -48,7 +49,16 @@ class TtfTimer
      * Quantize a continuous arrival time (ns). Negative or infinite
      * times and times past the register range read as saturated.
      */
-    uint8_t quantize(double arrival_ns) const;
+    uint8_t
+    quantize(double arrival_ns) const
+    {
+        if (arrival_ns < 0.0 || !std::isfinite(arrival_ns))
+            return kTtfSaturated;
+        const double ticks = arrival_ns / tick_ns_;
+        if (ticks >= static_cast<double>(kTtfSaturated))
+            return kTtfSaturated;
+        return static_cast<uint8_t>(ticks);
+    }
 
     /**
      * Probability that an Exp(rate) arrival quantizes to tick @p q.

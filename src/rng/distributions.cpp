@@ -6,13 +6,6 @@
 namespace rsu::rng {
 
 double
-sampleExponential(Xoshiro256 &rng, double rate)
-{
-    assert(rate > 0.0);
-    return -std::log(rng.uniformPositive()) / rate;
-}
-
-double
 sampleNormal(Xoshiro256 &rng, double mean, double stddev)
 {
     // Polar method: rejection-sample a point in the unit disc, then

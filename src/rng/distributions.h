@@ -13,6 +13,9 @@
 #ifndef RSU_RNG_DISTRIBUTIONS_H
 #define RSU_RNG_DISTRIBUTIONS_H
 
+#include <cassert>
+#include <cmath>
+
 #include "rng/xoshiro256.h"
 
 namespace rsu::rng {
@@ -20,11 +23,18 @@ namespace rsu::rng {
 /**
  * Sample Exp(rate) by inverse-transform.
  *
+ * Defined inline: every emulated RET-circuit firing draws one.
+ *
  * @param rng entropy source
  * @param rate decay rate lambda (> 0)
  * @return a sample with mean 1/rate
  */
-double sampleExponential(Xoshiro256 &rng, double rate);
+inline double
+sampleExponential(Xoshiro256 &rng, double rate)
+{
+    assert(rate > 0.0);
+    return -std::log(rng.uniformPositive()) / rate;
+}
 
 /**
  * Sample N(mean, stddev^2) via the polar (Marsaglia) method.

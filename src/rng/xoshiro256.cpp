@@ -4,50 +4,11 @@
 
 namespace rsu::rng {
 
-namespace {
-
-inline uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Xoshiro256::Xoshiro256(uint64_t seed)
 {
     SplitMix64 sm(seed);
     for (auto &word : s_)
         word = sm.next();
-}
-
-Xoshiro256::result_type
-Xoshiro256::operator()()
-{
-    const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-    const uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Xoshiro256::uniform()
-{
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double
-Xoshiro256::uniformPositive()
-{
-    // (raw >> 11) is in [0, 2^53); adding one shifts to (0, 2^53].
-    return static_cast<double>(((*this)() >> 11) + 1) * 0x1.0p-53;
 }
 
 uint64_t

@@ -35,8 +35,24 @@ class Xoshiro256
         return std::numeric_limits<result_type>::max();
     }
 
-    /** Next raw 64-bit output. */
-    result_type operator()();
+    /** Next raw 64-bit output. Defined inline: the emulated RET
+     * circuits draw once per candidate label, so the generator sits
+     * on the RSU-G's innermost loop. */
+    result_type
+    operator()()
+    {
+        const uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+        const uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /**
      * Uniform double in [0, 1) with 53 bits of precision.
@@ -44,10 +60,19 @@ class Xoshiro256
      * Uses the upper 53 bits of the raw output, the standard
      * conversion recommended by the generator's authors.
      */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in (0, 1] — never zero, safe for log(). */
-    double uniformPositive();
+    double
+    uniformPositive()
+    {
+        // (raw >> 11) is in [0, 2^53); adding one shifts to (0, 2^53].
+        return static_cast<double>(((*this)() >> 11) + 1) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) without modulo bias. */
     uint64_t below(uint64_t bound);
@@ -61,6 +86,12 @@ class Xoshiro256
     void jump();
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<uint64_t, 4> s_;
 };
 

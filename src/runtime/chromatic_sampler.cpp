@@ -1,6 +1,5 @@
 #include "runtime/chromatic_sampler.h"
 
-#include "mrf/rsu_gibbs.h"
 #include "rng/streams.h"
 
 namespace rsu::runtime {
@@ -41,8 +40,7 @@ ChromaticGibbsSampler::ChromaticGibbsSampler(
                                    mrf.temperature());
             shard.unit->setLabelCodes(mrf.labelCodes());
         }
-        data2_ = std::make_unique<rsu::core::Data2Table>(
-            mrf.buildData2Table());
+        rsu_kernel_ = std::make_unique<rsu::mrf::RsuSiteKernel>(mrf);
     }
 }
 
@@ -96,13 +94,12 @@ ChromaticGibbsSampler::sweep()
                     shard.work, x, y);
             });
     }
-    const rsu::core::Data2Table &staged = *data2_;
+    const rsu::mrf::RsuSiteKernel &kernel = *rsu_kernel_;
     return executor_.sweep(
         mrf_.width(), mrf_.height(),
-        [this, &staged](int s, int x, int y) {
+        [this, &kernel](int s, int x, int y) {
             auto &shard = shards_[s];
-            rsu::mrf::RsuGibbsSampler::updateSiteWith(
-                mrf_, *shard.unit, staged, shard.work, x, y);
+            kernel.update(mrf_, *shard.unit, shard.work, x, y);
         });
 }
 

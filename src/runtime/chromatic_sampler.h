@@ -29,6 +29,7 @@
 #include "mrf/fast_sweep.h"
 #include "mrf/gibbs.h"
 #include "mrf/grid_mrf.h"
+#include "mrf/rsu_gibbs.h"
 #include "rng/xoshiro256.h"
 #include "runtime/parallel_sweep.h"
 
@@ -64,9 +65,8 @@ class ChromaticGibbsSampler
      *        vectorizes the candidate dimension over Q32
      *        fixed-point weights — fastest, identical across
      *        ISAs/runs/shard counts but not bit-identical to the
-     *        other two. Ignored by RsuGibbs, whose device path is
-     *        already table-driven (and whose data2 operands are
-     *        always staged).
+     *        other two. Ignored by RsuGibbs, which always runs the
+     *        table-driven mrf::RsuSiteKernel.
      * @param table_set pre-built static tables for this exact model
      *        (Table/Simd paths; e.g. the InferenceEngine's cache) —
      *        skips the singleton scan. nullptr builds a private set.
@@ -133,8 +133,12 @@ class ChromaticGibbsSampler
     rsu::core::RsuGStats deviceStats() const;
 
   private:
-    /** Everything one worker touches during a phase. */
-    struct Shard
+    /**
+     * Everything one worker touches during a phase. Cache-line
+     * aligned so that one shard's per-site writes (work counters,
+     * RNG state) never share a line with its neighbour's.
+     */
+    struct alignas(64) Shard
     {
         rsu::rng::Xoshiro256 rng{0};
         std::vector<double> weights;      // SoftwareGibbs scratch
@@ -143,6 +147,8 @@ class ChromaticGibbsSampler
         std::unique_ptr<rsu::core::RsuG> unit; // RsuGibbs device
         rsu::mrf::SamplerWork work;
     };
+    static_assert(alignof(Shard) == 64 && sizeof(Shard) % 64 == 0,
+                  "shards must not share cache lines");
 
     rsu::mrf::GridMrf &mrf_;
     ParallelSweepExecutor &executor_;
@@ -152,7 +158,7 @@ class ChromaticGibbsSampler
     // Shared read-only during sweeps; tables_ is re-synced (exp
     // rebuild on temperature change) single-threaded at sweep start.
     std::unique_ptr<rsu::mrf::SweepTables> tables_; // Table/Simd
-    std::unique_ptr<rsu::core::Data2Table> data2_;    // RsuGibbs
+    std::unique_ptr<const rsu::mrf::RsuSiteKernel> rsu_kernel_; // RsuGibbs
 };
 
 } // namespace rsu::runtime

@@ -1,7 +1,9 @@
 #include "runtime/inference_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -20,6 +22,32 @@ struct Interrupt
 {
     JobOutcome outcome;
 };
+
+/** Reject a starting labelling the model cannot hold: the wrong
+ * size, or a label that is not one of the model's codes. */
+void
+validateInitialLabels(const InferenceJob &job)
+{
+    const auto &config = job.config;
+    if (static_cast<int64_t>(job.initial_labels.size()) !=
+        static_cast<int64_t>(config.width) * config.height)
+        throw std::invalid_argument(
+            "InferenceEngine: initial_labels size must equal "
+            "width * height");
+    std::array<bool, 256> is_code{};
+    if (config.label_codes.empty()) {
+        for (int i = 0; i < config.num_labels && i < 256; ++i)
+            is_code[i] = true;
+    } else {
+        for (const rsu::mrf::Label code : config.label_codes)
+            is_code[code] = true;
+    }
+    for (const rsu::mrf::Label l : job.initial_labels)
+        if (!is_code[l])
+            throw std::invalid_argument(
+                "InferenceEngine: initial label outside the "
+                "model's code set");
+}
 
 } // namespace
 
@@ -86,6 +114,8 @@ InferenceEngine::submit(InferenceJob job)
     if (job.deadline_seconds && *job.deadline_seconds < 0.0)
         throw std::invalid_argument(
             "InferenceEngine: need deadline_seconds >= 0");
+    if (!job.initial_labels.empty())
+        validateInitialLabels(job);
 
     QueuedJob queued;
     queued.control = std::make_shared<JobHandle::Control>();

@@ -103,7 +103,10 @@ struct InferenceJob
      * (0 = endpoints only). Each probe is a full lattice scan. */
     int energy_trace_stride = 0;
 
-    /** Starting labelling; empty = per-site maximum likelihood. */
+    /** Starting labelling; empty = per-site maximum likelihood.
+     * Otherwise width * height labels, each one of the model's
+     * codes (config.label_codes, or 0..num_labels-1 when that is
+     * empty); submit() throws std::invalid_argument if not. */
     std::vector<rsu::mrf::Label> initial_labels;
 
     /**

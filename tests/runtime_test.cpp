@@ -369,6 +369,39 @@ TEST(InferenceEngineTest, RejectsBadJobs)
     InferenceJob job;
     EXPECT_THROW(engine.submit(std::move(job)),
                  std::invalid_argument);
+
+    // A starting labelling must fit the lattice and use the model's
+    // codes; both are checked at submit, before any work is queued.
+    Problem p(6, 5, 3, 1);
+    const auto labelled = [&](std::vector<Label> labels) {
+        InferenceJob bad;
+        bad.config = p.config;
+        bad.singleton = p.modelPtr();
+        bad.sweeps = 1;
+        bad.initial_labels = std::move(labels);
+        return bad;
+    };
+    EXPECT_THROW(engine.submit(labelled(std::vector<Label>(29, 0))),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.submit(labelled(std::vector<Label>(31, 0))),
+                 std::invalid_argument);
+    std::vector<Label> off_code(30, 1);
+    off_code[17] = 3; // codes are 0..2
+    EXPECT_THROW(engine.submit(labelled(off_code)),
+                 std::invalid_argument);
+
+    // Vector models: only the decode table's codes are valid.
+    InferenceJob vector_job = labelled(std::vector<Label>(30, 0));
+    vector_job.config.label_codes = {0, 1, 8};
+    vector_job.initial_labels[4] = 2;
+    EXPECT_THROW(engine.submit(vector_job), std::invalid_argument);
+    vector_job.initial_labels[4] = 8;
+    EXPECT_EQ(engine.submit(std::move(vector_job)).get().outcome,
+              rsu::runtime::JobOutcome::Completed);
+
+    std::vector<Label> good(30, 2);
+    EXPECT_EQ(engine.submit(labelled(good)).get().outcome,
+              rsu::runtime::JobOutcome::Completed);
 }
 
 } // namespace
